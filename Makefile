@@ -9,11 +9,15 @@ GOVULNCHECK_VERSION ?= v1.1.4
 build:
 	$(GO) build ./...
 
+# qbperf (the benchmark command) is its own Go module, so the root
+# ./... patterns never compile it; vet and test it explicitly.
 vet:
 	$(GO) vet ./...
+	cd qbperf && $(GO) vet ./...
 
 test: vet
 	$(GO) test ./...
+	cd qbperf && $(GO) test ./...
 
 race:
 	$(GO) test -race ./...

@@ -388,12 +388,13 @@ func BenchmarkRemoteQuery(b *testing.B) {
 			b.Fatal(err)
 		}
 		defer conn.Close()
-		tech, err := technique.NewNoIndOn(crypto.DeriveKeys([]byte("bench7")), conn)
+		store := conn.WithStore(wire.DefaultStore)
+		tech, err := technique.NewNoIndOn(crypto.DeriveKeys([]byte("bench7")), store)
 		if err != nil {
 			b.Fatal(err)
 		}
 		o := owner.New(tech, workload.Attr)
-		o.SetCloudBackend(conn)
+		o.SetCloudBackend(store)
 		opts := core.Options{Rand: mrand.New(mrand.NewPCG(1, 2))}
 		if err := o.Outsource(ds.Relation.Clone(), ds.Sensitive, opts); err != nil {
 			b.Fatal(err)

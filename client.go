@@ -94,16 +94,10 @@ type Config struct {
 	// directory once, then routes this namespace's view to its R replicas
 	// directly — writes fan out to every in-sync replica, reads stick to
 	// the nearest live one and fail over instantly when it dies. Mutually
-	// exclusive with CloudAddr; CloudConns and Reconnect are implied by
-	// the ring transport (each node connection self-heals with fast
-	// failover timeouts) and ignored.
+	// exclusive with CloudAddr; Reconnect is implied by the ring
+	// transport (each node connection self-heals with fast failover
+	// timeouts) and ignored.
 	Ring string
-	// CloudConns is the number of multiplexed connections to CloudAddr
-	// (<= 1 means a single connection). One connection already carries
-	// any number of in-flight calls; a few extra connections additionally
-	// parallelise the server's per-connection decode/encode work, which
-	// pays off for CPU-bound encrypted scans under QueryBatch.
-	CloudConns int
 	// Reconnect, when set, wraps the cloud connection in a reconnecting
 	// transport: a transport failure — the cloud restarting, a dropped
 	// TCP session — no longer poisons the client permanently. Instead the
@@ -112,9 +106,7 @@ type Config struct {
 	// encrypted address space and replays any un-acknowledged encrypted
 	// uploads (exactly once), while in-flight queries block and then
 	// retry. The price is an owner-side mirror of the clear-text
-	// partition. Composes with CloudConns > 1: each pooled connection
-	// reconnects independently, migrating the upload buffers of the
-	// namespaces homed on it.
+	// partition.
 	Reconnect bool
 	// DisableCache turns off the owner-side version cache that is on by
 	// default for remote clouds: cross-query reuse of the pulled column,
@@ -149,10 +141,10 @@ type Client struct {
 	remote wire.Backend     // the Config.Store namespace view; non-nil when CloudAddr is set
 	cache  *technique.Cache // owner-side version cache; nil when disabled or in-process
 
-	// transport is the shared connection (or pool) remote is a view of.
+	// transport is the shared connection remote is a view of.
 	// ownsTransport is false for sub-clients composed over a transport
 	// someone else closes (e.g. a vertical client's two namespaces on one
-	// pool).
+	// connection).
 	transport     wire.Transport
 	ownsTransport bool
 }
@@ -168,9 +160,8 @@ func checkStoreName(store string) error {
 	return nil
 }
 
-// dialTransport opens the shared connection (or connection pool) to
-// Config.CloudAddr or the ring transport to Config.Ring; nil when the
-// cloud is in-process.
+// dialTransport opens the shared connection to Config.CloudAddr or the
+// ring transport to Config.Ring; nil when the cloud is in-process.
 func dialTransport(cfg Config) (wire.Transport, error) {
 	if cfg.Ring != "" {
 		if cfg.CloudAddr != "" {
@@ -188,13 +179,7 @@ func dialTransport(cfg Config) (wire.Transport, error) {
 		return nil, err
 	}
 	if cfg.Reconnect {
-		if cfg.CloudConns > 1 {
-			return wire.DialReconnectPool(cfg.CloudAddr, cfg.CloudConns, wire.ReconnectOptions{})
-		}
 		return wire.DialReconnect(cfg.CloudAddr, wire.ReconnectOptions{})
-	}
-	if cfg.CloudConns > 1 {
-		return wire.DialPool(cfg.CloudAddr, cfg.CloudConns)
 	}
 	return wire.Dial(cfg.CloudAddr)
 }
@@ -528,11 +513,11 @@ func verticalColumnsStore(store string) string {
 // sensitivity.
 //
 // With Config.CloudAddr set, the two sub-clients — which encrypt under
-// different derived keys — are composed over one shared connection (or
-// pool) but two distinct cloud-side namespaces: the residual relation
-// lives in Config.Store and the sensitive columns in its "/columns"
-// sibling, so the differently keyed ciphertexts never interleave in one
-// store and every whole-column decryption stays coherent.
+// different derived keys — are composed over one shared connection but
+// two distinct cloud-side namespaces: the residual relation lives in
+// Config.Store and the sensitive columns in its "/columns" sibling, so
+// the differently keyed ciphertexts never interleave in one store and
+// every whole-column decryption stays coherent.
 func NewVerticalClient(cfg Config, sensitiveCols []string) (*VerticalClient, error) {
 	transport, err := dialTransport(cfg)
 	if err != nil {

@@ -89,7 +89,6 @@ func main() {
 		ringN    = flag.Int("ring", 0, "boot this many qbcloud nodes plus a qbring coordinator and drive the ring (needs -qbcloud and -qbring)")
 		ringBin  = flag.String("qbring", "", "qbring binary for -ring mode")
 		replicas = flag.Int("replicas", 2, "replication factor for -ring mode")
-		conns    = flag.Int("conns", 0, "connection-pool size per client (remote; 0 = library default)")
 		workers  = flag.Int("store-workers", 0, "per-namespace dispatch bound for the booted qbcloud (0 = unbounded)")
 		killAt   = flag.Duration("kill-at", 0, "SIGKILL the booted qbcloud this long into the measured window (0 = no chaos)")
 		restart  = flag.Duration("restart-after", 500*time.Millisecond, "restart the killed qbcloud after this long")
@@ -122,7 +121,7 @@ func main() {
 					Gen:    loadgen.GenConfig{ReadFraction: *readFrac, ZipfS: *zipf},
 					Tuples: *tuples, DistinctValues: *values,
 					Alpha: *alpha, AssocFraction: *assoc,
-					Technique: tech, CloudAddr: *addr, CloudConns: *conns,
+					Technique: tech, CloudAddr: *addr,
 					DisableCache: !*cache, CacheBytes: *cacheMB << 20,
 					Seed: *seed, MaxInFlight: *maxIF, Check: *check,
 					Logf: func(format string, args ...any) {

@@ -56,8 +56,7 @@
 // multiplexed wire protocol: requests carry IDs, so a batch keeps many
 // calls in flight on one connection and the server dispatches them
 // concurrently, and a batched query pays a single round trip for the
-// whole batch's encrypted bin fetches. CloudConns adds a small connection
-// pool on top for CPU-bound encrypted scans.
+// whole batch's encrypted bin fetches.
 //
 // One qbcloud hosts any number of relations: Config.Store selects the
 // cloud-side namespace (its own clear-text store, encrypted store and
@@ -67,11 +66,10 @@
 // version-mismatch error rather than corrupted frames:
 //
 //	remote, err := repro.NewClient(repro.Config{
-//		MasterKey:  key,
-//		Attr:       "EId",
-//		CloudAddr:  "cloud-host:7040", // a running qbcloud process
-//		CloudConns: 4,                 // optional connection pool
-//		Store:      "hr",              // namespace on the shared cloud
+//		MasterKey: key,
+//		Attr:      "EId",
+//		CloudAddr: "cloud-host:7040", // a running qbcloud process
+//		Store:     "hr",              // namespace on the shared cloud
 //	})
 //
 // Namespaces are also what let a vertical client (NewVerticalClient —

@@ -50,10 +50,8 @@ type Config struct {
 	// RingAddr, when set, targets a qbring coordinator instead of a single
 	// qbcloud: clients route through the ring transport (placement,
 	// replication, failover). Mutually exclusive with CloudAddr;
-	// CloudConns and Reconnect are ignored in ring mode.
+	// Reconnect is ignored in ring mode.
 	RingAddr string
-	// CloudConns is the connection-pool size per client (remote only).
-	CloudConns int
 	// Reconnect wraps remote clients in the reconnecting transport so a
 	// chaos kill/restart is measured (as latency) instead of fatal.
 	Reconnect bool
@@ -246,7 +244,6 @@ func setupTenant(cfg *Config, t int) (*tenantState, error) {
 	if cfg.remote() {
 		rcfg.CloudAddr = cfg.CloudAddr
 		rcfg.Ring = cfg.RingAddr
-		rcfg.CloudConns = cfg.CloudConns
 		rcfg.Reconnect = cfg.Reconnect
 		rcfg.DisableCache = cfg.DisableCache
 		rcfg.CacheBytes = cfg.CacheBytes

@@ -27,13 +27,13 @@ func TestOwnerRestartOverRemoteCloud(t *testing.T) {
 	go func() { _ = wire.NewCloud().Serve(lis) }()
 
 	ks := crypto.DeriveKeys([]byte("restart"))
-	dial := func() *wire.Client {
+	dial := func() *wire.StoreClient {
 		c, err := wire.Dial(lis.Addr().String())
 		if err != nil {
 			t.Fatal(err)
 		}
 		t.Cleanup(func() { c.Close() })
-		return c
+		return c.WithStore(wire.DefaultStore)
 	}
 
 	// Session 1: outsource and save.

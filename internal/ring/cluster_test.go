@@ -4,6 +4,8 @@ import (
 	"bytes"
 	"fmt"
 	"net"
+	"reflect"
+	"strings"
 	"sync"
 	"testing"
 	"time"
@@ -431,5 +433,137 @@ func TestRouterReplicationFailoverRepair(t *testing.T) {
 	}
 	if err := rs.Err(); err != nil {
 		t.Fatalf("view transport error with both replicas live: %v", err)
+	}
+}
+
+// TestReplicatedLogicalErrIsLatest: LogicalErr reports the most recent
+// op that failed on every replica, not the first one ever — an owner
+// bracketing a later failure with LogicalErrCount must see that failure's
+// cause, not an outage that has long since healed.
+func TestReplicatedLogicalErrIsLatest(t *testing.T) {
+	a, b := startTestNode(t), startTestNode(t)
+	co, err := New(Config{Nodes: []string{a.addr, b.addr}, Replicas: 2, RingToken: testRingTok, Logf: t.Logf})
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer co.Stop()
+	router, err := DialRouter(startCoordinatorCloud(t, co), RouterOptions{DownCooldown: 10 * time.Millisecond})
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer router.Close()
+	rs := router.WithStore("data")
+	probe := []relation.Value{relation.Int(1)}
+
+	// First failure: every replica is unreachable.
+	a.kill()
+	b.kill()
+	if got := rs.Search(probe); got != nil {
+		t.Fatalf("Search with every node down = %v", got)
+	}
+	if n := rs.LogicalErrCount(); n != 1 {
+		t.Fatalf("LogicalErrCount after outage = %d, want 1", n)
+	}
+	outage := rs.LogicalErr()
+	if outage == nil || strings.Contains(outage.Error(), "no relation loaded") {
+		t.Fatalf("outage cause = %v", outage)
+	}
+
+	// Second failure, different cause: the nodes are back (empty), and
+	// every replica refuses the read logically.
+	a.restartEmpty()
+	b.restartEmpty()
+	time.Sleep(20 * time.Millisecond) // let the down-cooldown lapse
+	if got := rs.Search(probe); got != nil {
+		t.Fatalf("Search on empty replicas = %v", got)
+	}
+	if n := rs.LogicalErrCount(); n != 2 {
+		t.Fatalf("LogicalErrCount after refusal = %d, want 2", n)
+	}
+	if err := rs.LogicalErr(); err == nil || !strings.Contains(err.Error(), "no relation loaded") {
+		t.Fatalf("LogicalErr = %v, want the latest cause (no relation loaded); outage was %v", err, outage)
+	}
+}
+
+// TestReplicatedReadsFailOver: every read op of the replicated view, not
+// only Search, answers from the surviving replica with the same result
+// once the preferred replica dies, and none of the masked failures
+// reaches the view's logical-error record.
+func TestReplicatedReadsFailOver(t *testing.T) {
+	a, b := startTestNode(t), startTestNode(t)
+	nodes := map[string]*testNode{a.addr: a, b.addr: b}
+	co, err := New(Config{Nodes: []string{a.addr, b.addr}, Replicas: 2, RingToken: testRingTok, Logf: t.Logf})
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer co.Stop()
+	router, err := DialRouter(startCoordinatorCloud(t, co), RouterOptions{DownCooldown: time.Minute})
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer router.Close()
+
+	const ns = "data"
+	rs := router.WithStore(ns)
+	rs.SetAdminToken(wire.OwnerToken([]byte("master"), ns))
+	if err := rs.Load(intRelation(10), "K"); err != nil {
+		t.Fatal(err)
+	}
+	if err := rs.Insert(relation.Tuple{ID: 10, Values: []relation.Value{relation.Int(4)}}); err != nil {
+		t.Fatal(err)
+	}
+	for i := 0; i < 6; i++ {
+		rs.Add(testRow(i).TupleCT, testRow(i).AttrCT, testRow(i).Token)
+	}
+	if err := rs.Flush(); err != nil {
+		t.Fatal(err)
+	}
+
+	// reads runs every read op once; epochs are per store instance, so
+	// only the version's row count is compared across replicas.
+	reads := func() map[string]any {
+		out := map[string]any{
+			"Search":      relation.IDs(rs.Search([]relation.Value{relation.Int(4)})),
+			"SearchRange": relation.IDs(rs.SearchRange(relation.Int(2), relation.Int(5))),
+			"Len":         rs.Len(),
+			"AttrColumn":  rs.AttrColumn(),
+			"LookupToken": rs.LookupToken(testRow(1).Token),
+			"Rows":        rs.Rows(),
+		}
+		check := func(op string, v any, err error) {
+			if err != nil {
+				t.Fatalf("%s: %v", op, err)
+			}
+			out[op] = v
+		}
+		rows, err := rs.Fetch([]int{1, 4})
+		check("Fetch", rows, err)
+		batches, err := rs.FetchBatch([][]int{{0}, {2, 5}})
+		check("FetchBatch", batches, err)
+		ver, err := rs.EncVersion()
+		check("EncVersion.N", ver.N, err)
+		col, _, delta, err := rs.AttrColumnSince(storage.EncVersion{}, 0)
+		check("AttrColumnSince", []any{col, delta}, err)
+		full, _, delta, err := rs.RowsSince(storage.EncVersion{}, 0)
+		check("RowsSince", []any{full, delta}, err)
+		return out
+	}
+	want := reads()
+	if got := want["Search"].([]int); len(got) != 2 {
+		t.Fatalf("Search before failover = %v, want the loaded and the inserted tuple", got)
+	}
+
+	nodes[rs.Placement()[0].Addr].kill()
+	if err := rs.Ping(); err != nil {
+		t.Fatalf("Ping with one replica left: %v", err)
+	}
+	got := reads()
+	for op, w := range want {
+		if !reflect.DeepEqual(got[op], w) {
+			t.Errorf("%s after failover = %v, want %v", op, got[op], w)
+		}
+	}
+	if n := rs.LogicalErrCount(); n != 0 {
+		t.Fatalf("masked failover leaked %d logical errors: %v", n, rs.LogicalErr())
 	}
 }

@@ -80,8 +80,8 @@ func (s *ReplicatedStore) InSync() []bool {
 	return out
 }
 
-// backend returns a replica's Backend view with the owner token stamped.
-func (s *ReplicatedStore) backend(nc *nodeConn) wire.Backend {
+// backend returns a replica's view with the owner token stamped.
+func (s *ReplicatedStore) backend(nc *nodeConn) *wire.ReconnStore {
 	b := nc.backend(s.name)
 	s.tokMu.Lock()
 	tok := s.adminTok
@@ -92,15 +92,14 @@ func (s *ReplicatedStore) backend(nc *nodeConn) wire.Backend {
 	return b
 }
 
-// noteLogical records an op that failed on every replica.
+// noteLogical records an op that failed on every replica; like the wire
+// transports' records, the latest failure overwrites the previous one.
 func (s *ReplicatedStore) noteLogical(err error) {
 	if err == nil {
 		err = fmt.Errorf("ring: store %q: op failed on every replica", s.name)
 	}
 	s.logMu.Lock()
-	if s.logical == nil {
-		s.logical = err
-	}
+	s.logical = err
 	s.logicalN++
 	s.logMu.Unlock()
 }
@@ -278,7 +277,7 @@ func (s *ReplicatedStore) readmit() {
 		}
 		b := s.backend(nc)
 		if !refOK {
-			info, err := s.probeInfo(s.backend(s.replicas[ref]))
+			info, err := s.backend(s.replicas[ref]).Info()
 			if err != nil {
 				return
 			}
@@ -286,12 +285,10 @@ func (s *ReplicatedStore) readmit() {
 			refOK = true
 		}
 		for attempt := 0; ; attempt++ {
-			if rl, ok := b.(interface{ ResyncLen() error }); ok {
-				if err := rl.ResyncLen(); err != nil {
-					break
-				}
+			if err := b.ResyncLen(); err != nil {
+				break
 			}
-			info, err := s.probeInfo(b)
+			info, err := b.Info()
 			if err != nil {
 				s.afterFailure(nc)
 				break
@@ -313,24 +310,11 @@ func (s *ReplicatedStore) readmit() {
 			}
 			// Other owners of the namespace may have written while the
 			// repair ran; refresh the reference before the re-probe.
-			if info, err := s.probeInfo(s.backend(s.replicas[ref])); err == nil {
+			if info, err := s.backend(s.replicas[ref]).Info(); err == nil {
 				refInfo = info
 			}
 		}
 	}
-}
-
-// probeInfo reads one replica's server-side partition counts for the
-// readmission parity check, via the transport's Info probe when it has
-// one (the reconnecting wire client does) and the encrypted length alone
-// otherwise.
-func (s *ReplicatedStore) probeInfo(b wire.Backend) (wire.StoreInfo, error) {
-	if ip, ok := b.(interface{ Info() (wire.StoreInfo, error) }); ok {
-		return ip.Info()
-	}
-	var info wire.StoreInfo
-	err := bracket(b, func() { info.EncRows = b.Len() })
-	return info, err
 }
 
 // --- lifecycle and errors ------------------------------------------------
@@ -376,8 +360,9 @@ func (s *ReplicatedStore) Err() error {
 	return firstErr
 }
 
-// LogicalErr returns the view's own per-op error record: ops that failed
-// on EVERY replica. Per-replica failures masked by failover do not count.
+// LogicalErr returns the view's own per-op error record: the most recent
+// op that failed on EVERY replica. Per-replica failures masked by failover
+// do not count.
 func (s *ReplicatedStore) LogicalErr() error {
 	s.logMu.Lock()
 	defer s.logMu.Unlock()

@@ -99,9 +99,9 @@ func (nc *nodeConn) transport() *wire.Reconnector {
 	return nc.tr
 }
 
-// backend returns the node's Backend view of one namespace.
-func (nc *nodeConn) backend(name string) wire.Backend {
-	return nc.transport().Store(name)
+// backend returns the node's reconnecting view of one namespace.
+func (nc *nodeConn) backend(name string) *wire.ReconnStore {
+	return nc.transport().WithStore(name)
 }
 
 // close tears down the node transport.

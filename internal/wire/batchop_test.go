@@ -14,7 +14,7 @@ import (
 // address list — including empty lists — in a single round trip, and
 // rejects out-of-range addresses as a per-op logical error.
 func TestEncFetchBatchOverWire(t *testing.T) {
-	c := startCloud(t)
+	c := startCloud(t).WithStore(DefaultStore)
 	for i := 0; i < 5; i++ {
 		c.Add([]byte{byte(10 + i)}, []byte{byte(20 + i)}, nil)
 	}
@@ -55,79 +55,62 @@ func TestEncFetchBatchOverWire(t *testing.T) {
 }
 
 // TestSearchBatchOverWire is the remote-backend equivalence property at
-// the technique level: NoInd running over a wire client (and a pool) must
+// the technique level: NoInd running over a wire client must
 // return the same payloads and access patterns from SearchBatch as from a
 // sequential Search loop, with the whole batch's bin fetches served by the
 // one batched round trip.
 func TestSearchBatchOverWire(t *testing.T) {
-	backends := map[string]func(t *testing.T) Backend{
-		"client": func(t *testing.T) Backend { return startCloud(t) },
-		// Both pool connections must reach the SAME cloud, so dial the
-		// first client's cloud a second time.
-		"pool": func(t *testing.T) Backend {
-			c1 := startCloud(t)
-			c2, err := Dial(c1.conn.RemoteAddr().String())
-			if err != nil {
-				t.Fatal(err)
+	t.Run("client", func(t *testing.T) {
+		backend := startCloud(t).WithStore(DefaultStore)
+		tech, err := technique.NewNoIndOn(crypto.DeriveKeys([]byte("wire batch")), backend)
+		if err != nil {
+			t.Fatal(err)
+		}
+		var rows []technique.Row
+		for v := 0; v < 8; v++ {
+			for i := 0; i <= v; i++ {
+				rows = append(rows, technique.Row{
+					Payload: []byte(fmt.Sprintf("v=%d#%d", v, i)),
+					Attr:    relation.Int(int64(v)),
+				})
 			}
-			t.Cleanup(func() { c2.Close() })
-			return NewPool([]*Client{c1, c2})
-		},
-	}
+		}
+		if _, err := tech.Outsource(rows); err != nil {
+			t.Fatal(err)
+		}
+		if err := backend.Flush(); err != nil {
+			t.Fatal(err)
+		}
 
-	for name, mk := range backends {
-		t.Run(name, func(t *testing.T) {
-			backend := mk(t)
-			tech, err := technique.NewNoIndOn(crypto.DeriveKeys([]byte("wire batch")), backend)
+		queries := [][]relation.Value{
+			{relation.Int(3), relation.Int(5)},
+			{relation.Int(0)},
+			{relation.Int(99)},
+			{relation.Int(5)},
+		}
+		seq := make([][][]byte, len(queries))
+		seqStats := make([]*technique.Stats, len(queries))
+		for i, q := range queries {
+			seq[i], seqStats[i], err = tech.Search(q)
 			if err != nil {
 				t.Fatal(err)
 			}
-			var rows []technique.Row
-			for v := 0; v < 8; v++ {
-				for i := 0; i <= v; i++ {
-					rows = append(rows, technique.Row{
-						Payload: []byte(fmt.Sprintf("v=%d#%d", v, i)),
-						Attr:    relation.Int(int64(v)),
-					})
-				}
+		}
+		batch, agg, err := tech.SearchBatch(queries)
+		if err != nil {
+			t.Fatal(err)
+		}
+		for i := range queries {
+			if !reflect.DeepEqual(batch[i], seq[i]) {
+				t.Errorf("query %d: batch payloads %q != sequential %q", i, batch[i], seq[i])
 			}
-			if _, err := tech.Outsource(rows); err != nil {
-				t.Fatal(err)
+			if !reflect.DeepEqual(agg.PerQuery[i].ReturnedAddrs, seqStats[i].ReturnedAddrs) {
+				t.Errorf("query %d: batch addrs %v != sequential %v",
+					i, agg.PerQuery[i].ReturnedAddrs, seqStats[i].ReturnedAddrs)
 			}
-			if err := backend.Flush(); err != nil {
-				t.Fatal(err)
-			}
-
-			queries := [][]relation.Value{
-				{relation.Int(3), relation.Int(5)},
-				{relation.Int(0)},
-				{relation.Int(99)},
-				{relation.Int(5)},
-			}
-			seq := make([][][]byte, len(queries))
-			seqStats := make([]*technique.Stats, len(queries))
-			for i, q := range queries {
-				seq[i], seqStats[i], err = tech.Search(q)
-				if err != nil {
-					t.Fatal(err)
-				}
-			}
-			batch, agg, err := tech.SearchBatch(queries)
-			if err != nil {
-				t.Fatal(err)
-			}
-			for i := range queries {
-				if !reflect.DeepEqual(batch[i], seq[i]) {
-					t.Errorf("query %d: batch payloads %q != sequential %q", i, batch[i], seq[i])
-				}
-				if !reflect.DeepEqual(agg.PerQuery[i].ReturnedAddrs, seqStats[i].ReturnedAddrs) {
-					t.Errorf("query %d: batch addrs %v != sequential %v",
-						i, agg.PerQuery[i].ReturnedAddrs, seqStats[i].ReturnedAddrs)
-				}
-			}
-			if err := backend.Err(); err != nil {
-				t.Fatal(err)
-			}
-		})
-	}
+		}
+		if err := backend.Err(); err != nil {
+			t.Fatal(err)
+		}
+	})
 }

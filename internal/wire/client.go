@@ -8,25 +8,68 @@ import (
 	"sync"
 	"sync/atomic"
 
+	"repro/internal/cloud"
 	"repro/internal/relation"
 	"repro/internal/storage"
+	"repro/internal/technique"
+)
+
+// Backend is the owner-side view of a remote cloud namespace:
+// cloud.PlainBackend plus technique.BatchEncStore (the encrypted store
+// including the batched read path) plus the lifecycle and error surface.
+// Transports hand it out per namespace: *StoreClient over one connection,
+// *ReconnStore over a reconnecting one (and ring.ReplicatedStore over a
+// replicated ring), so callers pick the transport without changing
+// anything else.
+type Backend interface {
+	cloud.PlainBackend
+	technique.BatchEncStore
+	technique.VersionedEncStore
+
+	// Lifecycle and errors.
+	Ping() error
+	Flush() error
+	Err() error
+	LogicalErr() error
+	LogicalErrCount() uint64
+	Close() error
+
+	// SetAdminToken attaches the namespace's control-plane owner token
+	// (see OwnerToken): writes carry it so the first write claims the
+	// namespace for the owner.
+	SetAdminToken(tok []byte)
+}
+
+// Transport is a shared connection to one cloud from which per-namespace
+// Backend views are derived. It is what a process serving several
+// relations holds once and shares.
+type Transport interface {
+	// Store returns the Backend view of the named namespace ("" selects
+	// DefaultStore). The same name always yields the same view.
+	Store(name string) Backend
+	// Ping checks liveness (performing the handshake if needed).
+	Ping() error
+	// Close tears down the transport and every view derived from it.
+	Close() error
+}
+
+var (
+	_ Backend   = (*StoreClient)(nil)
+	_ Transport = (*Client)(nil)
 )
 
 // Client is the owner-side connection to a remote cloud. One connection
 // serves any number of namespaces: WithStore returns a per-namespace view
 // implementing cloud.PlainBackend for the clear-text partition and
 // technique.BatchEncStore for the encrypted partition, so the standard
-// owner and techniques work over the network unchanged. For the common
-// single-relation case the Client itself implements the same surface,
-// delegating to its DefaultStore view.
+// owner and techniques work over the network unchanged.
 //
 // The connection is multiplexed: every request carries an ID, a writer
 // goroutine frames requests in submission order, and a reader goroutine
 // routes each response back to its caller, so any number of calls can be
 // in flight at once without head-of-line blocking. The batch query engine
-// therefore gains real cloud-side parallelism through a remote backend;
-// DialPool adds connection-level parallelism on top for CPU-bound
-// encrypted scans.
+// therefore gains real cloud-side parallelism through a remote backend,
+// and the server runs each connection's ops on a bounded worker pool.
 //
 // The first round trip performs the protocol handshake (opHello): a
 // server that cannot echo ProtocolVersion poisons the client with an
@@ -84,11 +127,9 @@ type Client struct {
 	helloOnce sync.Once
 	helloErr  error
 
-	// storeMu guards the per-namespace view registry; def is the
-	// DefaultStore view the Client's own methods delegate to.
+	// storeMu guards the per-namespace view registry.
 	storeMu sync.Mutex
 	stores  map[string]*StoreClient
-	def     *StoreClient
 }
 
 // Dial connects to a remote cloud at addr.
@@ -115,7 +156,6 @@ func NewClient(conn net.Conn) *Client {
 	c.gobOut = &gobSink{direct: conn}
 	c.enc = gob.NewEncoder(c.gobOut)
 	c.dec = gob.NewDecoder(c.gobIn)
-	c.def = c.WithStore(DefaultStore)
 	c.start()
 	return c
 }
@@ -188,8 +228,7 @@ func (c *Client) LogicalErrCount() uint64 {
 // Transport failures and use-after-close are recorded too — they are
 // what the method's zero-value return just swallowed — so windows
 // bracketed by LogicalErrCount observe them even when Err() alone would
-// not surface them (clean close, or a pool whose other connections are
-// healthy).
+// not surface them (a clean close).
 func (c *Client) noteLogical(err error) {
 	c.mu.Lock()
 	defer c.mu.Unlock()
@@ -201,67 +240,6 @@ func (c *Client) noteLogical(err error) {
 func (c *Client) Ping() error {
 	_, err := c.roundTrip(&request{Op: opPing})
 	return err
-}
-
-// --- DefaultStore delegation -------------------------------------------
-//
-// The Client keeps the full Backend surface for the one-relation case;
-// every method is the DefaultStore view's.
-
-// SetAdminToken attaches the default store's owner token.
-func (c *Client) SetAdminToken(tok []byte) { c.def.SetAdminToken(tok) }
-
-// Load implements cloud.PlainBackend on the default store.
-func (c *Client) Load(rns *relation.Relation, attr string) error { return c.def.Load(rns, attr) }
-
-// Search implements cloud.PlainBackend on the default store.
-func (c *Client) Search(values []relation.Value) []relation.Tuple { return c.def.Search(values) }
-
-// SearchRange implements cloud.PlainBackend on the default store.
-func (c *Client) SearchRange(lo, hi relation.Value) []relation.Tuple {
-	return c.def.SearchRange(lo, hi)
-}
-
-// Insert implements cloud.PlainBackend on the default store.
-func (c *Client) Insert(t relation.Tuple) error { return c.def.Insert(t) }
-
-// Add implements technique.EncStore on the default store.
-func (c *Client) Add(tupleCT, attrCT, token []byte) int { return c.def.Add(tupleCT, attrCT, token) }
-
-// Flush uploads the default store's pending encrypted rows.
-func (c *Client) Flush() error { return c.def.Flush() }
-
-// Len implements technique.EncStore on the default store.
-func (c *Client) Len() int { return c.def.Len() }
-
-// AttrColumn implements technique.EncStore on the default store.
-func (c *Client) AttrColumn() []storage.EncRow { return c.def.AttrColumn() }
-
-// Fetch implements technique.EncStore on the default store.
-func (c *Client) Fetch(addrs []int) ([]storage.EncRow, error) { return c.def.Fetch(addrs) }
-
-// FetchBatch implements technique.BatchEncStore on the default store.
-func (c *Client) FetchBatch(addrBatches [][]int) ([][]storage.EncRow, error) {
-	return c.def.FetchBatch(addrBatches)
-}
-
-// LookupToken implements technique.EncStore on the default store.
-func (c *Client) LookupToken(tok []byte) []int { return c.def.LookupToken(tok) }
-
-// Rows implements technique.EncStore on the default store.
-func (c *Client) Rows() []storage.EncRow { return c.def.Rows() }
-
-// EncVersion implements technique.VersionedEncStore on the default store.
-func (c *Client) EncVersion() (storage.EncVersion, error) { return c.def.EncVersion() }
-
-// AttrColumnSince implements technique.VersionedEncStore on the default store.
-func (c *Client) AttrColumnSince(v storage.EncVersion, have int) ([]storage.EncRow, storage.EncVersion, bool, error) {
-	return c.def.AttrColumnSince(v, have)
-}
-
-// RowsSince implements technique.VersionedEncStore on the default store.
-func (c *Client) RowsSince(v storage.EncVersion, have int) ([]storage.EncRow, storage.EncVersion, bool, error) {
-	return c.def.RowsSince(v, have)
 }
 
 // --- StoreClient --------------------------------------------------------

@@ -20,24 +20,24 @@ func BenchmarkReconnectResync(b *testing.B) {
 		b.Run(fmt.Sprintf("plainTuples=%d", tuples), func(b *testing.B) {
 			cl := NewCloud()
 			srv := newChaosServer(b, cl)
-			rc := reconnectorFor(b, srv)
-			if err := rc.Load(testRelation(tuples), "K"); err != nil {
+			rs := reconnStoreFor(b, srv)
+			if err := rs.Load(testRelation(tuples), "K"); err != nil {
 				b.Fatal(err)
 			}
 			for i := 0; i < 64; i++ {
-				rc.Add([]byte{byte(i)}, nil, nil)
+				rs.Add([]byte{byte(i)}, nil, nil)
 			}
-			if err := rc.Flush(); err != nil {
+			if err := rs.Flush(); err != nil {
 				b.Fatal(err)
 			}
-			if _, err := rc.Fetch([]int{0}); err != nil {
+			if _, err := rs.Fetch([]int{0}); err != nil {
 				b.Fatal(err)
 			}
 			b.ResetTimer()
 			for i := 0; i < b.N; i++ {
 				srv.kill()
 				srv.restart(b, cl)
-				if _, err := rc.Fetch([]int{i % 64}); err != nil {
+				if _, err := rs.Fetch([]int{i % 64}); err != nil {
 					b.Fatal(err)
 				}
 			}

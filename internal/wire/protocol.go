@@ -14,14 +14,14 @@
 // concurrently through a bounded worker pool, serialising only the
 // response frames. Responses may therefore arrive in any order; ordering
 // guarantees come from callers blocking on their own response, not from
-// the transport. For CPU-bound encrypted scans a small connection pool
-// (DialPool) spreads calls over several multiplexed connections.
+// the transport.
 //
 // Namespaces: every request addresses a named store, so one cloud serves
 // any number of independently keyed relations side by side (the
 // multi-relation outsourcing model of the paper's successors). A
-// connection is shared across namespaces — Client.WithStore / (*Pool).WithStore
-// return per-namespace views implementing the full Backend surface — and
+// connection is shared across namespaces — Client.WithStore and
+// Reconnector.WithStore return per-namespace views implementing the full
+// Backend surface — and
 // the server keeps per-store state and per-store locks, so tenants never
 // contend except on the transport itself.
 //
@@ -39,7 +39,7 @@
 //
 // Reads come in batched flavours too: opEncFetchBatch serves one address
 // list per query of a batched search in a single round trip, which is how
-// Client/Pool satisfy technique.BatchEncStore and how a remote QueryBatch
+// StoreClient satisfies technique.BatchEncStore and how a remote QueryBatch
 // avoids paying one network latency per query.
 //
 // The control plane rides the same protocol: namespace lifecycle ops

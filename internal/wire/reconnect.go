@@ -113,11 +113,9 @@ type Reconnector struct {
 
 	storeMu sync.Mutex
 	stores  map[string]*ReconnStore
-	def     *ReconnStore
 }
 
 var (
-	_ Backend   = (*Reconnector)(nil)
 	_ Backend   = (*ReconnStore)(nil)
 	_ Transport = (*Reconnector)(nil)
 )
@@ -133,7 +131,6 @@ func NewReconnector(dial func() (*Client, error), opts ReconnectOptions) *Reconn
 		stores:   make(map[string]*ReconnStore),
 	}
 	rc.cond = sync.NewCond(&rc.mu)
-	rc.def = rc.WithStore(DefaultStore)
 	return rc
 }
 
@@ -208,16 +205,6 @@ func (rc *Reconnector) Err() error {
 	rc.mu.Lock()
 	defer rc.mu.Unlock()
 	return rc.permErr
-}
-
-// healthy implements poolConn: a Reconnector is routable until it fails
-// permanently (redial exhaustion, unreconcilable resync) or is closed —
-// transient connection death is its own problem to fix, so a pool keeps
-// routing to it and the routed ops block through the reconnect cycle.
-func (rc *Reconnector) healthy() bool {
-	rc.mu.Lock()
-	defer rc.mu.Unlock()
-	return rc.permErr == nil && !rc.closed
 }
 
 // noteLogical records a per-op error a void interface method swallowed —
@@ -837,68 +824,4 @@ func (rs *ReconnStore) RowsSince(ver storage.EncVersion, have int) (rows []stora
 		return e
 	})
 	return rows, cur, delta, err
-}
-
-// --- default-store Backend surface ---------------------------------------
-
-// SetAdminToken attaches the default store's owner token.
-func (rc *Reconnector) SetAdminToken(tok []byte) { rc.def.SetAdminToken(tok) }
-
-// Load ships the clear-text partition to the default store.
-func (rc *Reconnector) Load(rel *relation.Relation, attr string) error {
-	return rc.def.Load(rel, attr)
-}
-
-// Search implements cloud.PlainBackend on the default store.
-func (rc *Reconnector) Search(values []relation.Value) []relation.Tuple {
-	return rc.def.Search(values)
-}
-
-// SearchRange implements cloud.PlainBackend on the default store.
-func (rc *Reconnector) SearchRange(lo, hi relation.Value) []relation.Tuple {
-	return rc.def.SearchRange(lo, hi)
-}
-
-// Insert implements cloud.PlainBackend on the default store.
-func (rc *Reconnector) Insert(t relation.Tuple) error { return rc.def.Insert(t) }
-
-// Add implements technique.EncStore on the default store.
-func (rc *Reconnector) Add(tupleCT, attrCT, token []byte) int {
-	return rc.def.Add(tupleCT, attrCT, token)
-}
-
-// Flush uploads the default store's pending encrypted rows.
-func (rc *Reconnector) Flush() error { return rc.def.Flush() }
-
-// Len implements technique.EncStore on the default store.
-func (rc *Reconnector) Len() int { return rc.def.Len() }
-
-// AttrColumn implements technique.EncStore on the default store.
-func (rc *Reconnector) AttrColumn() []storage.EncRow { return rc.def.AttrColumn() }
-
-// Fetch implements technique.EncStore on the default store.
-func (rc *Reconnector) Fetch(addrs []int) ([]storage.EncRow, error) { return rc.def.Fetch(addrs) }
-
-// FetchBatch implements technique.BatchEncStore on the default store.
-func (rc *Reconnector) FetchBatch(addrBatches [][]int) ([][]storage.EncRow, error) {
-	return rc.def.FetchBatch(addrBatches)
-}
-
-// LookupToken implements technique.EncStore on the default store.
-func (rc *Reconnector) LookupToken(tok []byte) []int { return rc.def.LookupToken(tok) }
-
-// Rows implements technique.EncStore on the default store.
-func (rc *Reconnector) Rows() []storage.EncRow { return rc.def.Rows() }
-
-// EncVersion implements technique.VersionedEncStore on the default store.
-func (rc *Reconnector) EncVersion() (storage.EncVersion, error) { return rc.def.EncVersion() }
-
-// AttrColumnSince implements technique.VersionedEncStore on the default store.
-func (rc *Reconnector) AttrColumnSince(v storage.EncVersion, have int) ([]storage.EncRow, storage.EncVersion, bool, error) {
-	return rc.def.AttrColumnSince(v, have)
-}
-
-// RowsSince implements technique.VersionedEncStore on the default store.
-func (rc *Reconnector) RowsSince(v storage.EncVersion, have int) ([]storage.EncRow, storage.EncVersion, bool, error) {
-	return rc.def.RowsSince(v, have)
 }

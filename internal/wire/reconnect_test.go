@@ -81,11 +81,13 @@ func (s *chaosServer) restart(t testing.TB, cl *Cloud) {
 // fastOpts keeps test reconnect cycles snappy.
 var fastOpts = ReconnectOptions{MaxRetries: 20, BaseDelay: 2 * time.Millisecond, MaxDelay: 20 * time.Millisecond}
 
-func reconnectorFor(t testing.TB, s *chaosServer) *Reconnector {
+// reconnStoreFor returns the default-store view of a fresh reconnecting
+// transport to s.
+func reconnStoreFor(t testing.TB, s *chaosServer) *ReconnStore {
 	t.Helper()
 	rc := NewReconnector(func() (*Client, error) { return Dial(s.addr) }, fastOpts)
 	t.Cleanup(func() { rc.Close() })
-	return rc
+	return rc.WithStore(DefaultStore)
 }
 
 func testRelation(n int) *relation.Relation {
@@ -104,15 +106,15 @@ func testRelation(n int) *relation.Relation {
 // exactly once.
 func TestReconnectorPlainSurvivesRestart(t *testing.T) {
 	srv := newChaosServer(t, NewCloud())
-	rc := reconnectorFor(t, srv)
+	rs := reconnStoreFor(t, srv)
 
-	if err := rc.Load(testRelation(20), "K"); err != nil {
+	if err := rs.Load(testRelation(20), "K"); err != nil {
 		t.Fatal(err)
 	}
-	if err := rc.Insert(relation.Tuple{ID: 777, Values: []relation.Value{relation.Int(42)}}); err != nil {
+	if err := rs.Insert(relation.Tuple{ID: 777, Values: []relation.Value{relation.Int(42)}}); err != nil {
 		t.Fatal(err)
 	}
-	want := rc.Search([]relation.Value{relation.Int(2)})
+	want := rs.Search([]relation.Value{relation.Int(2)})
 	if len(want) != 4 {
 		t.Fatalf("pre-kill Search = %d tuples, want 4", len(want))
 	}
@@ -120,15 +122,15 @@ func TestReconnectorPlainSurvivesRestart(t *testing.T) {
 	srv.kill()
 	srv.restart(t, NewCloud()) // fresh empty cloud: everything must come from the mirror
 
-	got := rc.Search([]relation.Value{relation.Int(2)})
+	got := rs.Search([]relation.Value{relation.Int(2)})
 	if !reflect.DeepEqual(got, want) {
 		t.Fatalf("post-restart Search = %v, want %v", got, want)
 	}
-	if ins := rc.Search([]relation.Value{relation.Int(42)}); len(ins) != 1 || ins[0].ID != 777 {
+	if ins := rs.Search([]relation.Value{relation.Int(42)}); len(ins) != 1 || ins[0].ID != 777 {
 		t.Fatalf("insert not exactly-once after restart: %v", ins)
 	}
-	if rc.Err() != nil {
-		t.Fatalf("reconnector poisoned: %v", rc.Err())
+	if rs.Err() != nil {
+		t.Fatalf("reconnector poisoned: %v", rs.Err())
 	}
 }
 
@@ -138,14 +140,14 @@ func TestReconnectorPlainSurvivesRestart(t *testing.T) {
 func TestReconnectorReplaysRetainedUploads(t *testing.T) {
 	cl := NewCloud()
 	srv := newChaosServer(t, cl)
-	rc := reconnectorFor(t, srv)
+	rs := reconnStoreFor(t, srv)
 
 	for i := 0; i < 5; i++ {
-		if addr := rc.Add([]byte{byte(i)}, nil, []byte("tok")); addr != i {
+		if addr := rs.Add([]byte{byte(i)}, nil, []byte("tok")); addr != i {
 			t.Fatalf("Add #%d = %d", i, addr)
 		}
 	}
-	if err := rc.Flush(); err != nil {
+	if err := rs.Flush(); err != nil {
 		t.Fatal(err)
 	}
 	var snap bytes.Buffer
@@ -154,7 +156,7 @@ func TestReconnectorReplaysRetainedUploads(t *testing.T) {
 	}
 	// Buffer three more rows; their flush will never reach the old server.
 	for i := 5; i < 8; i++ {
-		if addr := rc.Add([]byte{byte(i)}, nil, []byte("tok")); addr != i {
+		if addr := rs.Add([]byte{byte(i)}, nil, []byte("tok")); addr != i {
 			t.Fatalf("Add #%d = %d", i, addr)
 		}
 	}
@@ -167,10 +169,10 @@ func TestReconnectorReplaysRetainedUploads(t *testing.T) {
 	srv.restart(t, cl2)
 
 	// Any read forces flush; the reconnect cycle replays the retained rows.
-	if n := rc.Len(); n != 8 {
+	if n := rs.Len(); n != 8 {
 		t.Fatalf("Len after replay = %d, want 8", n)
 	}
-	rows, err := rc.Fetch([]int{5, 6, 7})
+	rows, err := rs.Fetch([]int{5, 6, 7})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -179,11 +181,11 @@ func TestReconnectorReplaysRetainedUploads(t *testing.T) {
 			t.Fatalf("replayed row %d = %v", 5+i, r.TupleCT)
 		}
 	}
-	if got := rc.LookupToken([]byte("tok")); len(got) != 8 {
+	if got := rs.LookupToken([]byte("tok")); len(got) != 8 {
 		t.Fatalf("token index after replay: %v", got)
 	}
-	if rc.Err() != nil {
-		t.Fatalf("reconnector poisoned: %v", rc.Err())
+	if rs.Err() != nil {
+		t.Fatalf("reconnector poisoned: %v", rs.Err())
 	}
 }
 
@@ -194,16 +196,16 @@ func TestReconnectorReplaysRetainedUploads(t *testing.T) {
 func TestReconnectorDoesNotReplayAppliedBatch(t *testing.T) {
 	cl := NewCloud()
 	srv := newChaosServer(t, cl)
-	rc := reconnectorFor(t, srv)
+	rs := reconnStoreFor(t, srv)
 
 	for i := 0; i < 5; i++ {
-		rc.Add([]byte{byte(i)}, nil, nil)
+		rs.Add([]byte{byte(i)}, nil, nil)
 	}
-	if err := rc.Flush(); err != nil {
+	if err := rs.Flush(); err != nil {
 		t.Fatal(err)
 	}
 	for i := 5; i < 8; i++ {
-		rc.Add([]byte{byte(i)}, nil, nil)
+		rs.Add([]byte{byte(i)}, nil, nil)
 	}
 	// Apply the same three rows server-side through an independent client:
 	// exactly the state left by a flush whose response was lost.
@@ -211,10 +213,11 @@ func TestReconnectorDoesNotReplayAppliedBatch(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
+	ds := direct.WithStore(DefaultStore)
 	for i := 5; i < 8; i++ {
-		direct.Add([]byte{byte(i)}, nil, nil)
+		ds.Add([]byte{byte(i)}, nil, nil)
 	}
-	if err := direct.Flush(); err != nil {
+	if err := ds.Flush(); err != nil {
 		t.Fatal(err)
 	}
 	direct.Close()
@@ -222,11 +225,11 @@ func TestReconnectorDoesNotReplayAppliedBatch(t *testing.T) {
 	srv.kill()
 	srv.restart(t, cl) // same cloud: connection died, state survived
 
-	if n := rc.Len(); n != 8 {
+	if n := rs.Len(); n != 8 {
 		t.Fatalf("Len = %d, want 8 (batch must not replay)", n)
 	}
-	if rc.Err() != nil {
-		t.Fatalf("reconnector poisoned: %v", rc.Err())
+	if rs.Err() != nil {
+		t.Fatalf("reconnector poisoned: %v", rs.Err())
 	}
 }
 
@@ -236,25 +239,25 @@ func TestReconnectorDoesNotReplayAppliedBatch(t *testing.T) {
 // serve wrong rows.
 func TestReconnectorUnreconcilableFailsLoudly(t *testing.T) {
 	srv := newChaosServer(t, NewCloud())
-	rc := reconnectorFor(t, srv)
+	rs := reconnStoreFor(t, srv)
 	for i := 0; i < 5; i++ {
-		rc.Add([]byte{byte(i)}, nil, nil)
+		rs.Add([]byte{byte(i)}, nil, nil)
 	}
-	if err := rc.Flush(); err != nil {
+	if err := rs.Flush(); err != nil {
 		t.Fatal(err)
 	}
 
 	srv.kill()
 	srv.restart(t, NewCloud()) // empty: the five acknowledged rows are gone
 
-	if _, err := rc.Fetch([]int{0}); err == nil || !strings.Contains(err.Error(), "cannot reconcile") {
+	if _, err := rs.Fetch([]int{0}); err == nil || !strings.Contains(err.Error(), "cannot reconcile") {
 		t.Fatalf("irrecoverable restart: %v", err)
 	}
-	if err := rc.Err(); err == nil {
+	if err := rs.Err(); err == nil {
 		t.Fatal("permanent failure not sticky")
 	}
 	// Fail-fast afterwards.
-	if _, err := rc.Fetch([]int{0}); err == nil {
+	if _, err := rs.Fetch([]int{0}); err == nil {
 		t.Fatal("op after permanent failure succeeded")
 	}
 }
@@ -290,14 +293,14 @@ func TestReconnectorGivesUpAfterMaxRetries(t *testing.T) {
 func TestReconnectorConcurrentOpsSurviveKill(t *testing.T) {
 	cl := NewCloud()
 	srv := newChaosServer(t, cl)
-	rc := reconnectorFor(t, srv)
-	if err := rc.Load(testRelation(30), "K"); err != nil {
+	rs := reconnStoreFor(t, srv)
+	if err := rs.Load(testRelation(30), "K"); err != nil {
 		t.Fatal(err)
 	}
 	for i := 0; i < 10; i++ {
-		rc.Add([]byte{byte(i)}, nil, []byte("t"))
+		rs.Add([]byte{byte(i)}, nil, []byte("t"))
 	}
-	if err := rc.Flush(); err != nil {
+	if err := rs.Flush(); err != nil {
 		t.Fatal(err)
 	}
 
@@ -315,11 +318,11 @@ func TestReconnectorConcurrentOpsSurviveKill(t *testing.T) {
 					return
 				default:
 				}
-				if got := rc.Search([]relation.Value{relation.Int(int64(w % 5))}); got == nil {
-					errCh <- fmt.Errorf("worker %d: Search returned nil (iter %d): logical=%v err=%v", w, i, rc.LogicalErr(), rc.Err())
+				if got := rs.Search([]relation.Value{relation.Int(int64(w % 5))}); got == nil {
+					errCh <- fmt.Errorf("worker %d: Search returned nil (iter %d): logical=%v err=%v", w, i, rs.LogicalErr(), rs.Err())
 					return
 				}
-				if _, err := rc.Fetch([]int{w % 10}); err != nil {
+				if _, err := rs.Fetch([]int{w % 10}); err != nil {
 					errCh <- fmt.Errorf("worker %d: Fetch (iter %d): %w", w, i, err)
 					return
 				}

@@ -35,20 +35,21 @@ func TestSnapshotRoundTrip(t *testing.T) {
 		t.Fatal(err)
 	}
 	defer client1.Close()
+	store1 := client1.WithStore(DefaultStore)
 
 	ks := crypto.DeriveKeys([]byte("snapshot"))
-	tech, err := technique.NewNoIndOn(ks, client1)
+	tech, err := technique.NewNoIndOn(ks, store1)
 	if err != nil {
 		t.Fatal(err)
 	}
 	o := owner.New(tech, "EId")
-	o.SetCloudBackend(client1)
+	o.SetCloudBackend(store1)
 	emp := workload.Employee()
 	opts := core.Options{Rand: mrand.New(mrand.NewPCG(5, 6))}
 	if err := o.Outsource(emp.Clone(), workload.EmployeeSensitive, opts); err != nil {
 		t.Fatal(err)
 	}
-	if err := client1.Flush(); err != nil {
+	if err := store1.Flush(); err != nil {
 		t.Fatal(err)
 	}
 
@@ -73,11 +74,12 @@ func TestSnapshotRoundTrip(t *testing.T) {
 		t.Fatal(err)
 	}
 	defer client2.Close()
+	store2 := client2.WithStore(DefaultStore)
 
 	// A new owner session (same keys and bin seed) against the restored
 	// cloud: rebuild owner-side metadata by re-deriving from the original
 	// relation but point both backends at cloud2.
-	tech2, err := technique.NewNoIndOn(ks, &restoredStore{client2})
+	tech2, err := technique.NewNoIndOn(ks, &restoredStore{store2})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -85,25 +87,25 @@ func TestSnapshotRoundTrip(t *testing.T) {
 	// Owner metadata (bins, counts) is reconstructed from the relation;
 	// the cloud stores are NOT re-uploaded: the restored plain store must
 	// already answer.
-	got := client2.Search([]relation.Value{relation.Str("E259")})
+	got := store2.Search([]relation.Value{relation.Str("E259")})
 	if len(got) != 1 {
 		t.Fatalf("restored plain store returned %d tuples for E259, want 1", len(got))
 	}
-	if n := client2.Len(); n != cloud1Len(t, client1) {
-		t.Fatalf("restored enc store has %d rows, want %d", n, cloud1Len(t, client1))
+	if n := store2.Len(); n != cloud1Len(t, store1) {
+		t.Fatalf("restored enc store has %d rows, want %d", n, cloud1Len(t, store1))
 	}
 	_ = o2
 
 	// End-to-end equality of the encrypted column between original and
 	// restored clouds.
-	col1 := client1.AttrColumn()
-	col2 := client2.AttrColumn()
+	col1 := store1.AttrColumn()
+	col2 := store2.AttrColumn()
 	if !reflect.DeepEqual(col1, col2) {
 		t.Fatal("restored encrypted column differs")
 	}
 }
 
-func cloud1Len(t *testing.T, c *Client) int {
+func cloud1Len(t *testing.T, c *StoreClient) int {
 	t.Helper()
 	n := c.Len()
 	if err := c.Err(); err != nil {
@@ -114,7 +116,7 @@ func cloud1Len(t *testing.T, c *Client) int {
 
 // restoredStore wraps a client without the upload buffer semantics (reads
 // only).
-type restoredStore struct{ *Client }
+type restoredStore struct{ *StoreClient }
 
 // TestSnapshotMultiStoreRoundTrip: a cloud hosting several namespaces
 // persists and restores all of them, with plain and encrypted sides

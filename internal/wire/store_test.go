@@ -109,7 +109,7 @@ func TestClientRejectsLegacyServer(t *testing.T) {
 	if err := c.Err(); err == nil || !strings.Contains(err.Error(), "version mismatch") {
 		t.Fatalf("Err = %v, want sticky version mismatch", err)
 	}
-	if _, err := c.Fetch([]int{0}); err == nil {
+	if _, err := c.WithStore(DefaultStore).Fetch([]int{0}); err == nil {
 		t.Fatal("fetch proceeded against a version-mismatched server")
 	}
 }
@@ -245,13 +245,14 @@ func TestStoreNamespacesOverWire(t *testing.T) {
 	}
 
 	// The default-store surface is WithStore(DefaultStore).
-	if c.WithStore("") != c.WithStore(DefaultStore) {
+	def := c.WithStore(DefaultStore)
+	if c.WithStore("") != def {
 		t.Fatal("empty name and DefaultStore yield different views")
 	}
-	if a := c.Add([]byte("def-0"), nil, nil); a != 0 {
+	if a := def.Add([]byte("def-0"), nil, nil); a != 0 {
 		t.Fatalf("default store first addr = %d", a)
 	}
-	if err := c.Flush(); err != nil {
+	if err := def.Flush(); err != nil {
 		t.Fatal(err)
 	}
 
@@ -269,161 +270,55 @@ func TestStoreNamespacesOverWire(t *testing.T) {
 	}
 }
 
-// TestPoolPinsWritesPerStore: with two connections, two namespaces get
-// two different home connections — mutations no longer serialise on a
-// single pool-wide primary — while the default store keeps conns[0].
-func TestPoolPinsWritesPerStore(t *testing.T) {
-	_, addr := startCloudListener(t)
-	p, err := DialPool(addr, 2)
-	if err != nil {
-		t.Fatal(err)
-	}
-	defer p.Close()
-
-	a := p.WithStore("tenant-a")
-	b := p.WithStore("tenant-b")
-	if a.conn == b.conn {
-		t.Fatal("two namespaces share one home connection on a 2-conn pool")
-	}
-	if p.WithStore("").conn != p.conns[0] {
-		t.Fatal("default store not homed on the first connection")
-	}
-	// Same name, same view.
-	if p.WithStore("tenant-a") != a {
-		t.Fatal("WithStore not idempotent")
-	}
-
-	// Writes land in the right namespaces through their pinned conns, and
-	// reads see them from every connection.
-	if addr := a.Add([]byte("a-ct"), nil, nil); addr != 0 {
-		t.Fatalf("tenant-a addr = %d", addr)
-	}
-	if addr := b.Add([]byte("b-ct"), nil, nil); addr != 0 {
-		t.Fatalf("tenant-b addr = %d", addr)
-	}
-	for i := 0; i < 2*p.Size(); i++ { // cycle the read round-robin
-		rowsA, err := a.Fetch([]int{0})
-		if err != nil || string(rowsA[0].TupleCT) != "a-ct" {
-			t.Fatalf("tenant-a read %d = %v, %v", i, rowsA, err)
-		}
-		rowsB, err := b.Fetch([]int{0})
-		if err != nil || string(rowsB[0].TupleCT) != "b-ct" {
-			t.Fatalf("tenant-b read %d = %v, %v", i, rowsB, err)
-		}
-	}
-}
-
-// TestPoolStoreSurvivesOtherHomeDeath: killing tenant-a's home connection
-// must not break tenant-b's writes (they are pinned elsewhere), and
-// tenant-a's view reports the failure through its Err while the pool
-// routes its reads around the corpse.
-func TestPoolStoreSurvivesOtherHomeDeath(t *testing.T) {
-	_, addr := startCloudListener(t)
-	p, err := DialPool(addr, 2)
-	if err != nil {
-		t.Fatal(err)
-	}
-	defer p.Close()
-
-	a, b := p.WithStore("tenant-a"), p.WithStore("tenant-b") // homes: conns[1], conns[0] (default took conns[0])
-	if addr := b.Add([]byte("b-ct"), nil, nil); addr != 0 {
-		t.Fatalf("tenant-b addr = %d", addr)
-	}
-	if err := b.Flush(); err != nil {
-		t.Fatal(err)
-	}
-
-	// Kill tenant-a's home.
-	a.Home().(*StoreClient).c.conn.Close()
-	for a.Home().(*StoreClient).c.stickyErr() == nil {
-		time.Sleep(time.Millisecond)
-	}
-
-	// tenant-b keeps writing and reading.
-	if addr := b.Add([]byte("b-ct2"), nil, nil); addr != 1 {
-		t.Fatalf("tenant-b addr after other home died = %d", addr)
-	}
-	if err := b.Flush(); err != nil {
-		t.Fatalf("tenant-b flush after other home died: %v", err)
-	}
-	for i := 0; i < 4; i++ {
-		if n := b.Len(); n != 2 {
-			t.Fatalf("tenant-b Len = %d", n)
-		}
-	}
-	// tenant-a's mutations fail loudly through its view.
-	if a.Err() == nil {
-		t.Fatal("tenant-a view hides its dead home connection")
-	}
-	if addr := a.Add([]byte("a-ct"), nil, nil); addr != -1 {
-		t.Fatalf("tenant-a Add on dead home = %d", addr)
-	}
-}
-
 // TestTwoNamespacesConcurrently hammers two namespaces through one
-// connection and through a pool under -race: interleaved writes, reads
-// and per-store loads must stay isolated.
+// connection under -race: interleaved writes, reads and per-store loads
+// must stay isolated.
 func TestTwoNamespacesConcurrently(t *testing.T) {
 	_, addr := startCloudListener(t)
-	for _, conns := range []int{1, 3} {
-		t.Run(fmt.Sprintf("conns=%d", conns), func(t *testing.T) {
-			var tr Transport
-			if conns == 1 {
-				c, err := Dial(addr)
-				if err != nil {
-					t.Fatal(err)
-				}
-				t.Cleanup(func() { c.Close() })
-				tr = c
-			} else {
-				p, err := DialPool(addr, conns)
-				if err != nil {
-					t.Fatal(err)
-				}
-				t.Cleanup(func() { p.Close() })
-				tr = p
-			}
+	t.Run("conns=1", func(t *testing.T) {
+		tr, err := Dial(addr)
+		if err != nil {
+			t.Fatal(err)
+		}
+		t.Cleanup(func() { tr.Close() })
 
-			var wg sync.WaitGroup
-			fail := make(chan error, 16)
-			report := func(format string, args ...any) {
-				select {
-				case fail <- fmt.Errorf(format, args...):
-				default:
-				}
+		var wg sync.WaitGroup
+		fail := make(chan error, 16)
+		report := func(format string, args ...any) {
+			select {
+			case fail <- fmt.Errorf(format, args...):
+			default:
 			}
-			for _, ns := range []string{
-				fmt.Sprintf("stress-a-%d", conns), fmt.Sprintf("stress-b-%d", conns),
-			} {
-				wg.Add(1)
-				go func(ns string) {
-					defer wg.Done()
-					v := tr.Store(ns)
-					base := v.Len()
-					for i := 0; i < 40; i++ {
-						want := fmt.Sprintf("%s-%d", ns, i)
-						addr := v.Add([]byte(want), nil, []byte(ns))
-						if addr != base+i {
-							report("%s: addr %d, want %d", ns, addr, base+i)
-							return
-						}
-						rows, err := v.Fetch([]int{addr})
-						if err != nil || string(rows[0].TupleCT) != want {
-							report("%s: fetch(%d) = %v, %v", ns, addr, rows, err)
-							return
-						}
-						if got := v.LookupToken([]byte(ns)); len(got) != i+1 {
-							report("%s: token index has %d addrs, want %d", ns, len(got), i+1)
-							return
-						}
+		}
+		for _, ns := range []string{"stress-a", "stress-b"} {
+			wg.Add(1)
+			go func(ns string) {
+				defer wg.Done()
+				v := tr.Store(ns)
+				base := v.Len()
+				for i := 0; i < 40; i++ {
+					want := fmt.Sprintf("%s-%d", ns, i)
+					addr := v.Add([]byte(want), nil, []byte(ns))
+					if addr != base+i {
+						report("%s: addr %d, want %d", ns, addr, base+i)
+						return
 					}
-				}(ns)
-			}
-			wg.Wait()
-			close(fail)
-			for err := range fail {
-				t.Error(err)
-			}
-		})
-	}
+					rows, err := v.Fetch([]int{addr})
+					if err != nil || string(rows[0].TupleCT) != want {
+						report("%s: fetch(%d) = %v, %v", ns, addr, rows, err)
+						return
+					}
+					if got := v.LookupToken([]byte(ns)); len(got) != i+1 {
+						report("%s: token index has %d addrs, want %d", ns, len(got), i+1)
+						return
+					}
+				}
+			}(ns)
+		}
+		wg.Wait()
+		close(fail)
+		for err := range fail {
+			t.Error(err)
+		}
+	})
 }

@@ -41,7 +41,7 @@ func TestPing(t *testing.T) {
 }
 
 func TestPlainBackendOverWire(t *testing.T) {
-	c := startCloud(t)
+	c := startCloud(t).WithStore(DefaultStore)
 	rel := relation.New(relation.MustSchema("T",
 		relation.Column{Name: "K", Kind: relation.KindInt},
 		relation.Column{Name: "P", Kind: relation.KindString},
@@ -73,7 +73,7 @@ func TestPlainBackendOverWire(t *testing.T) {
 }
 
 func TestPlainErrorsOverWire(t *testing.T) {
-	c := startCloud(t)
+	c := startCloud(t).WithStore(DefaultStore)
 	// Search before Load is a server-side logical error: recorded per-op,
 	// but the connection stays healthy.
 	if got := c.Search([]relation.Value{relation.Int(1)}); got != nil {
@@ -99,7 +99,7 @@ func TestPlainErrorsOverWire(t *testing.T) {
 }
 
 func TestEncStoreOverWire(t *testing.T) {
-	c := startCloud(t)
+	c := startCloud(t).WithStore(DefaultStore)
 	a0 := c.Add([]byte("ct0"), []byte("a0"), nil)
 	a1 := c.Add([]byte("ct1"), []byte("a1"), []byte("tok"))
 	if a0 != 0 || a1 != 1 {
@@ -138,7 +138,7 @@ func TestEncStoreOverWire(t *testing.T) {
 // process reached over TCP loopback: remote clear-text store and remote
 // encrypted store.
 func TestOwnerEndToEndOverWire(t *testing.T) {
-	client := startCloud(t)
+	client := startCloud(t).WithStore(DefaultStore)
 
 	ks := crypto.DeriveKeys([]byte("wire e2e"))
 	tech, err := technique.NewNoIndOn(ks, client) // encrypted store lives remote
@@ -208,17 +208,19 @@ func TestTwoClientsShareOneCloud(t *testing.T) {
 	}
 	defer c2.Close()
 
-	c1.Add([]byte("x"), []byte("y"), nil)
-	if err := c1.Flush(); err != nil {
+	s1 := c1.WithStore(DefaultStore)
+	s1.Add([]byte("x"), []byte("y"), nil)
+	if err := s1.Flush(); err != nil {
 		t.Fatal(err)
 	}
-	if n := c2.Len(); n != 1 {
+	if n := c2.WithStore(DefaultStore).Len(); n != 1 {
 		t.Fatalf("second client sees %d rows, want 1", n)
 	}
 }
 
 func TestClientCloseIsClean(t *testing.T) {
 	client := startCloud(t)
+	store := client.WithStore(DefaultStore)
 	if err := client.Ping(); err != nil {
 		t.Fatal(err)
 	}
@@ -229,7 +231,7 @@ func TestClientCloseIsClean(t *testing.T) {
 	if err := client.Ping(); err == nil {
 		t.Fatal("ping on closed client succeeded")
 	}
-	if client.Add([]byte("x"), nil, nil) != -1 {
+	if store.Add([]byte("x"), nil, nil) != -1 {
 		t.Fatal("Add on closed client handed out an address")
 	}
 	// ...but an explicit Close is a clean shutdown, not a transport
@@ -240,7 +242,7 @@ func TestClientCloseIsClean(t *testing.T) {
 	}
 	// Void methods on a closed client are not silent: the use-after-close
 	// is recorded for LogicalErr.
-	if got := client.Search([]relation.Value{relation.Int(1)}); got != nil {
+	if got := store.Search([]relation.Value{relation.Int(1)}); got != nil {
 		t.Fatalf("search on closed client = %v", got)
 	}
 	if client.LogicalErr() == nil {

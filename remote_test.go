@@ -68,65 +68,63 @@ func TestClientAgainstRemoteCloud(t *testing.T) {
 // store registry — residual rows in one store, sensitive columns in its
 // "/columns" sibling) must return exactly the tuples and log exactly the
 // adversarial views of the in-process vertical client, across the
-// store-backed technique matrix and with and without a connection pool.
+// store-backed technique matrix. Every remote client uses one connection
+// (the conns=1 in the subtest names).
 func TestRemoteVerticalClientMatchesInProcess(t *testing.T) {
 	for _, tech := range []Technique{TechNoInd, TechDetIndex, TechArx} {
-		for _, conns := range []int{1, 2} {
-			t.Run(fmt.Sprintf("%v/conns=%d", tech, conns), func(t *testing.T) {
-				mk := func(addr string) *VerticalClient {
-					c, err := NewVerticalClient(Config{
-						MasterKey:  []byte("vertical remote equivalence"),
-						Attr:       "EId",
-						Technique:  tech,
-						Seed:       seed(41),
-						CloudAddr:  addr, // "" = in-process
-						CloudConns: conns,
-					}, []string{"SSN", "Dept"})
-					if err != nil {
-						t.Fatal(err)
-					}
-					t.Cleanup(func() { c.Close() })
-					return c
-				}
-				local, remote := mk(""), mk(startRemoteCloud(t))
-				emp := workload.Employee()
-				if err := local.Outsource(emp.Clone(), workload.EmployeeSensitive); err != nil {
+		t.Run(fmt.Sprintf("%v/conns=1", tech), func(t *testing.T) {
+			mk := func(addr string) *VerticalClient {
+				c, err := NewVerticalClient(Config{
+					MasterKey: []byte("vertical remote equivalence"),
+					Attr:      "EId",
+					Technique: tech,
+					Seed:      seed(41),
+					CloudAddr: addr, // "" = in-process
+				}, []string{"SSN", "Dept"})
+				if err != nil {
 					t.Fatal(err)
 				}
-				if err := remote.Outsource(emp.Clone(), workload.EmployeeSensitive); err != nil {
-					t.Fatal(err)
+				t.Cleanup(func() { c.Close() })
+				return c
+			}
+			local, remote := mk(""), mk(startRemoteCloud(t))
+			emp := workload.Employee()
+			if err := local.Outsource(emp.Clone(), workload.EmployeeSensitive); err != nil {
+				t.Fatal(err)
+			}
+			if err := remote.Outsource(emp.Clone(), workload.EmployeeSensitive); err != nil {
+				t.Fatal(err)
+			}
+			for _, eid := range []string{"E101", "E259", "E199", "E152", "E000"} {
+				want, err := local.Query(Str(eid))
+				if err != nil {
+					t.Fatalf("local Query(%s): %v", eid, err)
 				}
-				for _, eid := range []string{"E101", "E259", "E199", "E152", "E000"} {
-					want, err := local.Query(Str(eid))
-					if err != nil {
-						t.Fatalf("local Query(%s): %v", eid, err)
-					}
-					got, err := remote.Query(Str(eid))
-					if err != nil {
-						t.Fatalf("remote Query(%s): %v", eid, err)
-					}
-					if !reflect.DeepEqual(got, want) {
-						t.Errorf("Query(%s) over wire = %v, want %v", eid, got, want)
-					}
-					// Full original schema reassembled, sensitive columns
-					// included.
-					for _, tp := range got {
-						if len(tp.Values) != 6 {
-							t.Errorf("tuple %d has %d columns, want 6", tp.ID, len(tp.Values))
-						}
-					}
+				got, err := remote.Query(Str(eid))
+				if err != nil {
+					t.Fatalf("remote Query(%s): %v", eid, err)
 				}
-				lv, rv := local.AdversarialViews(), remote.AdversarialViews()
-				if len(lv) != len(rv) {
-					t.Fatalf("view counts differ: local %d, remote %d", len(lv), len(rv))
+				if !reflect.DeepEqual(got, want) {
+					t.Errorf("Query(%s) over wire = %v, want %v", eid, got, want)
 				}
-				for i := range lv {
-					if viewKey(lv[i]) != viewKey(rv[i]) {
-						t.Errorf("view %d: remote %s != local %s", i, viewKey(rv[i]), viewKey(lv[i]))
+				// Full original schema reassembled, sensitive columns
+				// included.
+				for _, tp := range got {
+					if len(tp.Values) != 6 {
+						t.Errorf("tuple %d has %d columns, want 6", tp.ID, len(tp.Values))
 					}
 				}
-			})
-		}
+			}
+			lv, rv := local.AdversarialViews(), remote.AdversarialViews()
+			if len(lv) != len(rv) {
+				t.Fatalf("view counts differ: local %d, remote %d", len(lv), len(rv))
+			}
+			for i := range lv {
+				if viewKey(lv[i]) != viewKey(rv[i]) {
+					t.Errorf("view %d: remote %s != local %s", i, viewKey(rv[i]), viewKey(lv[i]))
+				}
+			}
+		})
 	}
 }
 
@@ -296,86 +294,82 @@ func TestSaveResumeOverRemoteCloud(t *testing.T) {
 }
 
 // TestRemoteQueryBatchMatchesSequential is the observational-equivalence
-// property test against the remote backend: with the multiplexed wire
-// client (and optionally a connection pool) underneath, QueryBatch must
+// property test against the remote backend: with one multiplexed wire
+// connection (conns=1 in the subtest names) underneath, QueryBatch must
 // return the same per-query answers and log the same adversarial views,
 // in the same order, as a sequential Query loop — exactly as it does
 // against the in-process cloud.
 func TestRemoteQueryBatchMatchesSequential(t *testing.T) {
 	for _, tech := range []Technique{TechNoInd, TechArx} {
-		for _, conns := range []int{1, 3} {
-			t.Run(fmt.Sprintf("%v/conns=%d", tech, conns), func(t *testing.T) {
-				ds, err := workload.Generate(workload.GenSpec{
-					Tuples: 160, DistinctValues: 16, Alpha: 0.4,
-					AssocFraction: 0.5, Seed: 21,
-				})
-				if err != nil {
-					t.Fatal(err)
-				}
-				c, err := NewClient(Config{
-					MasterKey:  []byte("remote batch equivalence"),
-					Attr:       workload.Attr,
-					Technique:  tech,
-					Seed:       seed(29),
-					CloudAddr:  startRemoteCloud(t),
-					CloudConns: conns,
-				})
-				if err != nil {
-					t.Fatal(err)
-				}
-				defer c.Close()
-				if err := c.Outsource(ds.Relation.Clone(), ds.Sensitive); err != nil {
-					t.Fatal(err)
-				}
-				ws := batchWorkload(ds, 12, 321)
-
-				seq := make([][]Tuple, len(ws))
-				for i, w := range ws {
-					got, err := c.Query(w)
-					if err != nil {
-						t.Fatalf("sequential Query(%v): %v", w, err)
-					}
-					seq[i] = got
-				}
-				seqViews := c.AdversarialViews()
-				if len(seqViews) != len(ws) {
-					t.Fatalf("sequential run recorded %d views, want %d", len(seqViews), len(ws))
-				}
-
-				batch, err := c.QueryBatchN(ws, 4)
-				if err != nil {
-					t.Fatalf("QueryBatch: %v", err)
-				}
-				views := c.AdversarialViews()
-				if len(views) != 2*len(ws) {
-					t.Fatalf("after batch: %d views, want %d", len(views), 2*len(ws))
-				}
-				batchViews := views[len(ws):]
-				for i := range ws {
-					if !reflect.DeepEqual(relation.IDs(seq[i]), relation.IDs(batch[i])) {
-						t.Errorf("query %d (%v): batch IDs %v != sequential %v",
-							i, ws[i], relation.IDs(batch[i]), relation.IDs(seq[i]))
-					}
-					if viewKey(batchViews[i]) != viewKey(seqViews[i]) {
-						t.Errorf("query %d (%v): batch view %s != sequential view %s",
-							i, ws[i], viewKey(batchViews[i]), viewKey(seqViews[i]))
-					}
-				}
+		t.Run(fmt.Sprintf("%v/conns=1", tech), func(t *testing.T) {
+			ds, err := workload.Generate(workload.GenSpec{
+				Tuples: 160, DistinctValues: 16, Alpha: 0.4,
+				AssocFraction: 0.5, Seed: 21,
 			})
-		}
+			if err != nil {
+				t.Fatal(err)
+			}
+			c, err := NewClient(Config{
+				MasterKey: []byte("remote batch equivalence"),
+				Attr:      workload.Attr,
+				Technique: tech,
+				Seed:      seed(29),
+				CloudAddr: startRemoteCloud(t),
+			})
+			if err != nil {
+				t.Fatal(err)
+			}
+			defer c.Close()
+			if err := c.Outsource(ds.Relation.Clone(), ds.Sensitive); err != nil {
+				t.Fatal(err)
+			}
+			ws := batchWorkload(ds, 12, 321)
+
+			seq := make([][]Tuple, len(ws))
+			for i, w := range ws {
+				got, err := c.Query(w)
+				if err != nil {
+					t.Fatalf("sequential Query(%v): %v", w, err)
+				}
+				seq[i] = got
+			}
+			seqViews := c.AdversarialViews()
+			if len(seqViews) != len(ws) {
+				t.Fatalf("sequential run recorded %d views, want %d", len(seqViews), len(ws))
+			}
+
+			batch, err := c.QueryBatchN(ws, 4)
+			if err != nil {
+				t.Fatalf("QueryBatch: %v", err)
+			}
+			views := c.AdversarialViews()
+			if len(views) != 2*len(ws) {
+				t.Fatalf("after batch: %d views, want %d", len(views), 2*len(ws))
+			}
+			batchViews := views[len(ws):]
+			for i := range ws {
+				if !reflect.DeepEqual(relation.IDs(seq[i]), relation.IDs(batch[i])) {
+					t.Errorf("query %d (%v): batch IDs %v != sequential %v",
+						i, ws[i], relation.IDs(batch[i]), relation.IDs(seq[i]))
+				}
+				if viewKey(batchViews[i]) != viewKey(seqViews[i]) {
+					t.Errorf("query %d (%v): batch view %s != sequential view %s",
+						i, ws[i], viewKey(batchViews[i]), viewKey(seqViews[i]))
+				}
+			}
+		})
 	}
 }
 
 // TestRemoteQueryAsync smoke-tests the streaming batch against a remote
-// cloud through a connection pool: every answer matches the sequential
-// one and no transport error sticks.
+// cloud: every answer matches the sequential one and no transport error
+// sticks.
 func TestRemoteQueryAsync(t *testing.T) {
 	c, err := NewClient(Config{
-		MasterKey:  []byte("remote async"),
-		Attr:       "EId",
-		Seed:       seed(5),
-		CloudAddr:  startRemoteCloud(t),
-		CloudConns: 2,
+		MasterKey: []byte("remote async"),
+		Attr:      "EId",
+		Seed:      seed(5),
+		CloudAddr: startRemoteCloud(t),
 	})
 	if err != nil {
 		t.Fatal(err)
@@ -619,93 +613,5 @@ func TestReconnectClientSurvivesCloudKillMidBatch(t *testing.T) {
 				t.Errorf("post-recovery Query = %v, want %v", relation.IDs(gotQ), relation.IDs(wantQ))
 			}
 		})
-	}
-}
-
-// TestReconnectPoolSurvivesCloudKill: Reconnect now composes with
-// CloudConns > 1 — each pooled connection redials independently. A
-// pooled reconnecting client whose cloud is killed mid-batch and
-// restored from the post-Outsource snapshot must produce batch results
-// identical to a client whose cloud was never touched.
-func TestReconnectPoolSurvivesCloudKill(t *testing.T) {
-	ds, err := workload.Generate(workload.GenSpec{
-		Tuples: 160, DistinctValues: 16, Alpha: 0.4,
-		AssocFraction: 0.5, Seed: 29,
-	})
-	if err != nil {
-		t.Fatal(err)
-	}
-	mk := func(addr string, conns int, reconnect bool) *Client {
-		c, err := NewClient(Config{
-			MasterKey:  []byte("pooled chaos equivalence"),
-			Attr:       workload.Attr,
-			Technique:  TechArx,
-			Seed:       seed(37),
-			CloudAddr:  addr,
-			CloudConns: conns,
-			Reconnect:  reconnect,
-		})
-		if err != nil {
-			t.Fatal(err)
-		}
-		t.Cleanup(func() { c.Close() })
-		return c
-	}
-	ref := mk(startRemoteCloud(t), 1, false)
-	cloud := wire.NewCloud()
-	srv := startChaosCloud(t, cloud)
-	chaos := mk(srv.addr, 3, true)
-
-	if err := ref.Outsource(ds.Relation.Clone(), ds.Sensitive); err != nil {
-		t.Fatal(err)
-	}
-	if err := chaos.Outsource(ds.Relation.Clone(), ds.Sensitive); err != nil {
-		t.Fatal(err)
-	}
-	var snap bytes.Buffer
-	if err := cloud.Save(&snap); err != nil {
-		t.Fatal(err)
-	}
-
-	ws := batchWorkload(ds, 48, 101)
-	want, err := ref.QueryBatchN(ws, 4)
-	if err != nil {
-		t.Fatal(err)
-	}
-
-	killed := make(chan struct{})
-	go func() {
-		defer close(killed)
-		time.Sleep(2 * time.Millisecond)
-		srv.kill()
-		restored := wire.NewCloud()
-		if err := restored.Restore(bytes.NewReader(snap.Bytes())); err != nil {
-			t.Error(err)
-			return
-		}
-		srv.restart(t, restored)
-	}()
-	got, err := chaos.QueryBatchN(ws, 4)
-	<-killed
-	if err != nil {
-		t.Fatalf("QueryBatch across the kill: %v", err)
-	}
-	for i := range ws {
-		if !reflect.DeepEqual(relation.IDs(got[i]), relation.IDs(want[i])) {
-			t.Errorf("query %d (%v): chaos IDs %v != reference %v",
-				i, ws[i], relation.IDs(got[i]), relation.IDs(want[i]))
-		}
-	}
-	// And the pooled client keeps working after the dust settles.
-	gotQ, err := chaos.Query(ws[0])
-	if err != nil {
-		t.Fatal(err)
-	}
-	wantQ, err := ref.Query(ws[0])
-	if err != nil {
-		t.Fatal(err)
-	}
-	if !reflect.DeepEqual(relation.IDs(gotQ), relation.IDs(wantQ)) {
-		t.Errorf("post-recovery Query = %v, want %v", relation.IDs(gotQ), relation.IDs(wantQ))
 	}
 }
