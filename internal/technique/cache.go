@@ -1,6 +1,7 @@
 package technique
 
 import (
+	"slices"
 	"sync"
 	"sync/atomic"
 
@@ -20,7 +21,9 @@ const DefaultCacheBytes = 64 << 20
 //
 //   - the decrypted searchable-attribute column (NoInd), revalidated each
 //     query by the store's version counter (VersionedEncStore) — a tiny
-//     not-modified round trip replaces the full column transfer;
+//     not-modified round trip replaces the full column transfer — and,
+//     beside it, a value -> column-index posting map, so a point search
+//     costs its bin's matches instead of a pass over the whole column;
 //   - decrypted tuple payloads by cloud address, valid for one store epoch
 //     (addresses are stable within an epoch: the store is append-only and
 //     Compact preserves addressing);
@@ -53,6 +56,19 @@ type Cache struct {
 	colVals  []relation.Value
 	colAddrs []int
 	colCT    int
+
+	// Posting segment: decrypted value -> ascending indices into colVals,
+	// covering colVals[:postN]. It is derived from the column segment,
+	// valid for colVer's epoch (the column is append-only within an
+	// epoch), built on the first lookup and extended from the column's
+	// tail on later ones. postBytes counts the index slices' capacity plus
+	// a per-key overhead. postSkip records that the postings did not fit
+	// the budget beside the column: lookups then fall back to a scan until
+	// the column is replaced or evicted.
+	post      map[relation.Value][]int32
+	postN     int
+	postBytes int
+	postSkip  bool
 
 	// Payload segment: cloud address -> decrypted tuple payload, valid for
 	// payEpoch only. FIFO-evicted under the byte budget.
@@ -142,12 +158,13 @@ func (c *Cache) recordSaved(n int) {
 }
 
 func (c *Cache) bytesLocked() int {
-	return c.colCT + c.payBytes + c.memoBytes + 8*len(c.shamir)
+	return c.colCT + c.postBytes + c.payBytes + c.memoBytes + 8*len(c.shamir)
 }
 
 // rebalanceLocked enforces the byte budget: payload entries go first
 // (FIFO — they are per-address and individually droppable), then the memo
-// map, then the column. The Shamir segment is bounded at store time.
+// map, then the postings (recomputable from the column, so they go before
+// it), then the column. The Shamir segment is bounded at store time.
 func (c *Cache) rebalanceLocked() {
 	for c.bytesLocked() > c.maxBytes && len(c.payOrder) > 0 {
 		addr := c.payOrder[0]
@@ -161,9 +178,20 @@ func (c *Cache) rebalanceLocked() {
 		c.memo = make(map[string][]int)
 		c.memoBytes = 0
 	}
+	if c.bytesLocked() > c.maxBytes && c.post != nil {
+		c.dropPostLocked()
+		c.postSkip = true
+	}
 	if c.bytesLocked() > c.maxBytes && c.colCT > 0 {
 		c.colVer, c.colVals, c.colAddrs, c.colCT = storage.EncVersion{}, nil, nil, 0
+		c.dropPostLocked()
 	}
+}
+
+// dropPostLocked empties the posting segment and clears postSkip, so the
+// next lookup rebuilds it from whatever column is cached by then.
+func (c *Cache) dropPostLocked() {
+	c.post, c.postN, c.postBytes, c.postSkip = nil, 0, 0, false
 }
 
 // payEntryOverhead approximates the map/bookkeeping cost of one payload
@@ -192,8 +220,79 @@ func (c *Cache) colStore(ver storage.EncVersion, vals []relation.Value, addrs []
 	if ver.Epoch == c.colVer.Epoch && len(vals) < len(c.colVals) {
 		return
 	}
+	if ver.Epoch != c.colVer.Epoch {
+		c.dropPostLocked()
+	}
 	c.colVer, c.colVals, c.colAddrs, c.colCT = ver, vals, addrs, ctBytes
 	c.rebalanceLocked()
+}
+
+// postKeyOverhead approximates the map cost of one posting key (the Value,
+// the slice header and bucket bookkeeping) on top of its index slice; the
+// key's string bytes are shared with the cached column.
+const postKeyOverhead = 64
+
+// colMatch returns, in ascending order and without repeats, the indices
+// below n of the cached column of the given epoch whose value is one of
+// values — the rows a scan of that column's first n cells would match.
+// ok is false when the cache no longer holds that column (evicted, or
+// replaced by another epoch's) or when its postings do not fit the
+// budget; the caller then scans the snapshot it holds. Within an epoch
+// the store is append-only, so any cached column of that epoch at least n
+// long agrees with the caller's snapshot on its first n cells.
+func (c *Cache) colMatch(epoch uint64, n int, values []relation.Value) (idx []int32, ok bool) {
+	c.mu.Lock()
+	if c.colVer.Epoch != epoch || len(c.colVals) < n || !c.postingsLocked() {
+		c.mu.Unlock()
+		return nil, false
+	}
+	total := 0
+	for _, v := range values {
+		total += len(c.post[v])
+	}
+	if total > 0 {
+		idx = make([]int32, 0, total)
+		for _, v := range values {
+			idx = append(idx, c.post[v]...)
+		}
+	}
+	c.mu.Unlock()
+
+	// Distinct values have disjoint postings, so repeats come only from
+	// repeated predicate values; sorting restores column order.
+	slices.Sort(idx)
+	idx = slices.Compact(idx)
+	k, _ := slices.BinarySearch(idx, int32(n))
+	return idx[:k], true
+}
+
+// postingsLocked brings the posting segment up to the cached column's
+// length, building it on first use and indexing only the appended tail
+// afterwards, and reports whether it is usable (it fit the budget).
+func (c *Cache) postingsLocked() bool {
+	if c.postSkip {
+		return false
+	}
+	if c.postN == len(c.colVals) && c.post != nil {
+		return true
+	}
+	if c.post == nil { // postN and postBytes are zero with it
+		c.post = make(map[relation.Value][]int32)
+	}
+	for i := c.postN; i < len(c.colVals); i++ {
+		v := c.colVals[i]
+		p, seen := c.post[v]
+		if !seen {
+			c.postBytes += postKeyOverhead
+		}
+		c.postBytes -= 4 * cap(p)
+		p = append(p, int32(i))
+		c.postBytes += 4 * cap(p)
+		c.post[v] = p
+	}
+	c.postN = len(c.colVals)
+	c.rebalanceLocked()
+	return c.post != nil
 }
 
 // --- payload segment -----------------------------------------------------

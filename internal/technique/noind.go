@@ -176,23 +176,37 @@ func (n *NoInd) fetchPayloads(st *Stats, epoch uint64, addrs []int) ([][]byte, e
 
 // searchCached is Search with the version cache engaged: round 1 shrinks
 // to a conditional column pull (a constant-size not-modified answer in the
-// steady state) and round 2 only fetches addresses whose decryptions are
-// not already cached. Results and ReturnedAddrs are identical to the
-// uncached path; the cloud-observed accesses are a subset of it.
+// steady state), the matching rows come from the cache's posting map
+// (|SB| lookups instead of a pass over the column), and round 2 only
+// fetches addresses whose decryptions are not already cached. Results and
+// ReturnedAddrs — order included — are identical to the uncached path;
+// the cloud-observed accesses are a subset of it.
 func (n *NoInd) searchCached(values []relation.Value) ([][]byte, *Stats, error) {
 	st := &Stats{Rounds: 2}
-	want := make(map[relation.Value]bool, len(values))
-	for _, v := range values {
-		want[v] = true
-	}
 	vals, colAddrs, epoch, err := n.cachedColumn(st)
 	if err != nil {
 		return nil, nil, err
 	}
 	var addrs []int
-	for i, v := range vals {
-		if want[v] {
-			addrs = append(addrs, colAddrs[i])
+	if idx, ok := n.cache.colMatch(epoch, len(vals), values); ok {
+		if len(idx) > 0 {
+			addrs = make([]int, len(idx))
+			for j, i := range idx {
+				addrs[j] = colAddrs[i]
+			}
+		}
+	} else {
+		// The cache cannot match for this snapshot (its column was
+		// evicted or replaced, or the postings did not fit the budget):
+		// scan the snapshot held here.
+		want := make(map[relation.Value]bool, len(values))
+		for _, v := range values {
+			want[v] = true
+		}
+		for i, v := range vals {
+			if want[v] {
+				addrs = append(addrs, colAddrs[i])
+			}
 		}
 	}
 	payloads, err := n.fetchPayloads(st, epoch, addrs)
@@ -283,6 +297,44 @@ func (n *NoInd) Search(values []relation.Value) ([][]byte, *Stats, error) {
 	return payloads, st, nil
 }
 
+// planBatch is the bin-sharing plan both SearchBatch paths follow, and it
+// gives every query its PerQuery stats. Queries carrying the same
+// predicate slice are the same bin retrieval (Bins.Retrieve hands out one
+// shared value slice per bin): each distinct slice is matched and fetched
+// once and its rows shared. rep[i] is the lowest query index with the same
+// backing slice as query i. wantedBy inverts the representatives'
+// predicates — value -> the representative queries wanting it — so a
+// column pass costs one lookup per row, not one per (row, query); Values
+// are comparable, so no Key() string is ever materialised.
+func planBatch(queries [][]relation.Value, agg *Stats) (rep []int, wantedBy map[relation.Value][]int) {
+	rep = make([]int, len(queries))
+	firstFor := make(map[*relation.Value]int, len(queries))
+	for i, q := range queries {
+		rep[i] = i
+		if len(q) == 0 {
+			continue
+		}
+		if j, ok := firstFor[&q[0]]; ok {
+			rep[i] = j
+		} else {
+			firstFor[&q[0]] = i
+		}
+	}
+	wantedBy = make(map[relation.Value][]int)
+	for i, q := range queries {
+		agg.PerQuery[i] = &Stats{Rounds: 2}
+		if rep[i] != i {
+			continue
+		}
+		for _, v := range q {
+			if qs := wantedBy[v]; len(qs) == 0 || qs[len(qs)-1] != i {
+				wantedBy[v] = append(qs, i)
+			}
+		}
+	}
+	return rep, wantedBy
+}
+
 // SearchBatch implements Technique with real cross-query sharing: the
 // encrypted attribute column is pulled and decrypted once for the whole
 // batch (the redundant per-query pull is exactly what batching amortises),
@@ -302,40 +354,7 @@ func (n *NoInd) SearchBatch(queries [][]relation.Value) ([][][]byte, *Stats, err
 	if nq == 0 {
 		return out, agg, nil
 	}
-	// Queries carrying the same predicate slice are the same bin retrieval
-	// (Bins.Retrieve hands out one shared value slice per bin): match and
-	// fetch each distinct slice once, then share the rows. rep[i] is the
-	// lowest query index with the same backing slice as query i.
-	rep := make([]int, nq)
-	firstFor := make(map[*relation.Value]int, nq)
-	for i, q := range queries {
-		rep[i] = i
-		if len(q) == 0 {
-			continue
-		}
-		if j, ok := firstFor[&q[0]]; ok {
-			rep[i] = j
-		} else {
-			firstFor[&q[0]] = i
-		}
-	}
-
-	// Inverted predicate index: value -> the representative queries
-	// wanting it, so the column pass costs one lookup per row, not one
-	// per (row, query). Values are comparable, so the map is keyed by the
-	// value itself and the scan below never materialises Key() strings.
-	wantedBy := make(map[relation.Value][]int)
-	for i, q := range queries {
-		agg.PerQuery[i] = &Stats{Rounds: 2}
-		if rep[i] != i {
-			continue
-		}
-		for _, v := range q {
-			if qs := wantedBy[v]; len(qs) == 0 || qs[len(qs)-1] != i {
-				wantedBy[v] = append(qs, i)
-			}
-		}
-	}
+	rep, wantedBy := planBatch(queries, agg)
 
 	// Round 1, shared: one column pull and one decryption pass serve
 	// every query in the batch. The decrypted cell only lives for one
@@ -419,33 +438,7 @@ func (n *NoInd) searchBatchCached(queries [][]relation.Value) ([][][]byte, *Stat
 	if nq == 0 {
 		return out, agg, nil
 	}
-	// Identical bin-retrieval sharing as the uncached path: rep[i] is the
-	// lowest query index with the same backing predicate slice as query i.
-	rep := make([]int, nq)
-	firstFor := make(map[*relation.Value]int, nq)
-	for i, q := range queries {
-		rep[i] = i
-		if len(q) == 0 {
-			continue
-		}
-		if j, ok := firstFor[&q[0]]; ok {
-			rep[i] = j
-		} else {
-			firstFor[&q[0]] = i
-		}
-	}
-	wantedBy := make(map[relation.Value][]int)
-	for i, q := range queries {
-		agg.PerQuery[i] = &Stats{Rounds: 2}
-		if rep[i] != i {
-			continue
-		}
-		for _, v := range q {
-			if qs := wantedBy[v]; len(qs) == 0 || qs[len(qs)-1] != i {
-				wantedBy[v] = append(qs, i)
-			}
-		}
-	}
+	rep, wantedBy := planBatch(queries, agg)
 
 	// Round 1, shared and cached: one conditional pull revalidates the
 	// decrypted column for the whole batch.
